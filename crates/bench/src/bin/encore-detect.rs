@@ -29,32 +29,12 @@
 //! stdout and turns any admitted finding into exit 1.  Flag-free
 //! invocations keep the historical stdout and exit-0 behavior exactly.
 //!
-//! # Watch mode
+//! # Traces
 //!
-//! ```text
-//! encore-detect --train 20 --watch DIR --interval-ms 500 \
-//!               --max-iterations 3 --report watch.jsonl
-//! ```
-//!
-//! `--watch DIR` switches from one-shot fleet checking to the long-running
-//! serve loop ([`encore::watch`]): each file in DIR is one target config
-//! file, polled by mtime/size every `--interval-ms`; only added/changed
-//! targets are re-checked, and the `--save-detector`/`--load-detector`
-//! snapshot file is hot-reloaded when it changes on disk.  With `--report`
-//! the loop appends one pipeline-report JSON line per cycle (JSONL).  The
-//! loop stops after `--max-iterations` cycles, or — when unbounded — as
-//! soon as stdin reaches end-of-file (close the pipe to stop the daemon;
-//! no signal handling needed).
-//!
-//! # Live telemetry
-//!
-//! `--metrics-addr HOST:PORT` (watch mode only) serves the cumulative
-//! sink as Prometheus text exposition on `/metrics`, plus `/healthz` and
-//! `/readyz` (ready after the first completed cycle, not-ready while a
-//! detector hot-reload is failing).  The bound address is printed to
-//! stderr, so `HOST:0` works for tests.  `--trace-out FILE` (any mode)
-//! records every timer span and writes a Chrome trace-viewer /
-//! Perfetto-compatible JSON trace on exit.
+//! `--trace-out FILE` records every timer span and writes a Chrome
+//! trace-viewer / Perfetto-compatible JSON trace on exit.  For a
+//! long-running daemon over a directory of target configs, see
+//! `encore-serve --watch`.
 
 use encore::prelude::*;
 use encore_check::{
@@ -69,9 +49,7 @@ const USAGE: &str = "usage: encore-detect [--app NAME] [--train N] [--seed N] \
 [--targets N] [--target-seed N] [--misconfig-percent P] [--workers N] \
 [--save-detector FILE] [--load-detector FILE] [--no-entropy] [--report FILE] \
 [--bench-json FILE] [--trace-out FILE] [--event-log FILE] [--profile FILE] \
-[--watch DIR] [--interval-ms N] \
-[--max-iterations K] [--metrics-addr HOST:PORT] [--severity LEVEL] \
-[--min-report-confidence X] [--quiet] [--sarif FILE] \
+[--severity LEVEL] [--min-report-confidence X] [--quiet] [--sarif FILE] \
 [--baseline FILE | --write-baseline FILE]";
 
 /// Print a diagnostic plus the usage line to stderr and exit 2.  All
@@ -99,10 +77,6 @@ struct Args {
     trace_out: Option<String>,
     event_log: Option<String>,
     profile: Option<String>,
-    watch: Option<String>,
-    interval_ms: u64,
-    max_iterations: Option<u64>,
-    metrics_addr: Option<String>,
     filter: FindingFilter,
     quiet: bool,
     sarif: Option<String>,
@@ -127,10 +101,6 @@ fn parse_args() -> Option<Args> {
         trace_out: None,
         event_log: None,
         profile: None,
-        watch: None,
-        interval_ms: 1_000,
-        max_iterations: None,
-        metrics_addr: None,
         filter: FindingFilter::default(),
         quiet: false,
         sarif: None,
@@ -202,24 +172,6 @@ fn parse_args() -> Option<Args> {
             "--trace-out" => parsed.trace_out = Some(value("--trace-out", args.next())),
             "--event-log" => parsed.event_log = Some(value("--event-log", args.next())),
             "--profile" => parsed.profile = Some(value("--profile", args.next())),
-            "--watch" => parsed.watch = Some(value("--watch", args.next())),
-            "--metrics-addr" => parsed.metrics_addr = Some(value("--metrics-addr", args.next())),
-            "--interval-ms" => {
-                let v = value("--interval-ms", args.next());
-                parsed.interval_ms = v
-                    .parse()
-                    .unwrap_or_else(|_| usage("--interval-ms requires milliseconds"));
-            }
-            "--max-iterations" => {
-                let v = value("--max-iterations", args.next());
-                let n: u64 = v
-                    .parse()
-                    .unwrap_or_else(|_| usage("--max-iterations requires a count"));
-                if n == 0 {
-                    usage("--max-iterations must be at least 1");
-                }
-                parsed.max_iterations = Some(n);
-            }
             "--severity" => {
                 let v = value("--severity", args.next());
                 parsed.filter.min_severity = Severity::parse_name(&v).unwrap_or_else(|| {
@@ -276,102 +228,6 @@ fn build_detector(args: &Args) -> AnomalyDetector {
     EnCore::learn(&training, &options).into_detector()
 }
 
-/// Run the serve loop over a directory of config files until
-/// `--max-iterations` cycles complete or — when unbounded — stdin closes.
-fn run_watch(args: &Args, detector: AnomalyDetector, dir: &str) {
-    let app = args.app;
-    let mut options = encore::WatchOptions::new(app, dir);
-    options.interval = std::time::Duration::from_millis(args.interval_ms);
-    options.max_iterations = args.max_iterations;
-    options.workers = args.workers;
-    options.detector_path = args
-        .save_detector
-        .as_ref()
-        .or(args.load_detector.as_ref())
-        .map(std::path::PathBuf::from);
-    options.report_path = args.report.as_ref().map(std::path::PathBuf::from);
-
-    // The live telemetry surface: /metrics, /healthz, /readyz.  The
-    // readiness flag is shared with the watcher, which flips it true
-    // after the first completed cycle and false while a hot-reload is
-    // failing.  The server lives until this function returns (dropping
-    // it stops the accept thread).
-    let readiness = std::sync::Arc::new(encore::obs::expose::Readiness::new());
-    options.readiness = Some(std::sync::Arc::clone(&readiness));
-    let _metrics = args.metrics_addr.as_ref().map(|addr| {
-        match encore::obs::expose::MetricsServer::start(
-            addr,
-            std::sync::Arc::clone(&readiness),
-            encore::obs::render_prometheus,
-        ) {
-            Ok(server) => {
-                // Machine-readable so tools (and the CLI tests) can bind
-                // port 0 and discover the actual endpoint.
-                eprintln!("encore-detect: metrics listening on {}", server.addr());
-                server
-            }
-            Err(e) => {
-                eprintln!("encore-detect: cannot bind metrics endpoint `{addr}`: {e}");
-                std::process::exit(2);
-            }
-        }
-    });
-
-    // Unbounded runs stop on stdin end-of-file: whoever holds the pipe
-    // holds the daemon.  Bounded runs ignore stdin so closed-stdin CI can
-    // still count its cycles.  `StopFlag::stop` wakes the watcher's
-    // inter-cycle wait, so shutdown latency is bounded by the in-flight
-    // cycle, not by `--interval-ms`.
-    let stop = std::sync::Arc::new(encore::StopFlag::new());
-    if args.max_iterations.is_none() {
-        let stop = std::sync::Arc::clone(&stop);
-        std::thread::spawn(move || {
-            use std::io::Read;
-            let mut sink = [0u8; 256];
-            let mut stdin = std::io::stdin().lock();
-            while matches!(stdin.read(&mut sink), Ok(n) if n > 0) {}
-            stop.stop();
-        });
-    }
-
-    let mut watcher = encore::Watcher::new(detector, options);
-    let outcome = watcher.run(&stop, |cycle| {
-        println!(
-            "== watch cycle {}: {} rechecked ({} added, {} changed, {} removed), \
-{} tracked{}",
-            cycle.cycle,
-            cycle.results.len(),
-            cycle.added,
-            cycle.changed,
-            cycle.removed,
-            cycle.tracked,
-            if cycle.reloaded_detector {
-                ", detector reloaded"
-            } else {
-                ""
-            },
-        );
-        if let Some(e) = &cycle.reload_error {
-            eprintln!("encore-detect: detector reload failed (serving old rules): {e}");
-        }
-        for (name, result) in &cycle.results {
-            println!("== system {name}");
-            match result {
-                Ok(report) => print!("{}", report.render()),
-                Err(e) => println!("error: {e}"),
-            }
-        }
-    });
-    match outcome {
-        Ok(cycles) => println!("== watch done: {cycles} cycle(s)"),
-        Err(e) => {
-            eprintln!("encore-detect: watch failed: {e}");
-            std::process::exit(2);
-        }
-    }
-    write_trace(args);
-}
-
 /// Write the recorded span trace as Chrome trace-viewer JSON when
 /// `--trace-out` is set.  The phase-summary lane comes from the
 /// cumulative roll-up, so it covers the whole run (training included).
@@ -409,34 +265,12 @@ fn main() {
     if args.load_detector.is_some() && args.save_detector.is_some() {
         usage("--load-detector and --save-detector are mutually exclusive");
     }
-    if args.watch.is_some() && args.bench_json.is_some() {
-        // Watch cycles reset the instruments each cycle, so there is no
-        // whole-run record to condense.
-        usage("--bench-json is a one-shot option, not available with --watch");
-    }
     if args.baseline.is_some() && args.write_baseline.is_some() {
         usage("--baseline and --write-baseline are mutually exclusive");
-    }
-    if args.watch.is_some()
-        && (args.sarif.is_some()
-            || args.baseline.is_some()
-            || args.write_baseline.is_some()
-            || args.quiet
-            || !args.filter.is_pass_all())
-    {
-        // The findings surface is a one-shot artifact (one SARIF log, one
-        // baseline diff, one exit code); a long-running serve loop has none
-        // of those.
-        usage("--sarif/--baseline/--write-baseline/--quiet/--severity/--min-report-confidence are one-shot options, not available with --watch");
-    }
-    if args.metrics_addr.is_some() && args.watch.is_none() {
-        // A scrape endpoint only makes sense on a long-running process.
-        usage("--metrics-addr requires --watch");
     }
     let trace = encore::obs::enable_from_env();
     if args.report.is_some()
         || args.bench_json.is_some()
-        || args.metrics_addr.is_some()
         || args.trace_out.is_some()
         // The profiler's coverage reference is the `infer.time` timer,
         // which records only while the sink is on.
@@ -478,15 +312,6 @@ fn main() {
             std::process::exit(2);
         }
         eprintln!("encore-detect: detector saved to `{path}`");
-    }
-
-    if let Some(dir) = &args.watch {
-        // Watch mode replaces one-shot fleet checking; each cycle's report
-        // goes to the `--report` JSONL file, so the one-shot report tail
-        // below does not apply.
-        run_watch(&args, detector, dir);
-        finish_observability(&args);
-        return;
     }
 
     let fleet = Population::training(

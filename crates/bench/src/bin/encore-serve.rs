@@ -7,15 +7,20 @@
 //! encore-serve --socket /run/encore.sock \
 //!     --app mysql=mysql=mysql.snap --app web=apache=web.snap \
 //!     [--queue-capacity N] [--workers N] [--poll-interval-ms N] \
-//!     [--metrics-addr HOST:PORT] [--heartbeat FILE]
+//!     [--metrics-addr HOST:PORT] [--heartbeat FILE] [--watch NAME=DIR ...]
 //! ```
 //!
 //! Each app hot-reloads independently when its snapshot file changes; a
 //! failing reload keeps the old detector serving and flips only that
-//! app's readiness (visible on `/readyz` and the `apps` verb).  The
-//! server runs until a `shutdown` verb arrives or stdin reaches
-//! end-of-file, and announces `serving on <socket>` (and, when enabled,
-//! `metrics listening on <addr>` — `HOST:0` picks a free port) on stderr.
+//! app's readiness (visible on `/readyz` and the `apps` verb).
+//! `--watch NAME=DIR` (repeatable) makes every regular, non-dot file in
+//! DIR a target of app NAME: each poll tick re-checks the added or
+//! changed files — all of them after NAME's snapshot reloads — through
+//! the same queue as socket clients and prints each report on stdout as
+//! `== NAME/file` plus the body.  The server runs until a `shutdown` verb
+//! arrives or stdin reaches end-of-file, and announces `serving on
+//! <socket>` (and, when enabled, `metrics listening on <addr>` — `HOST:0`
+//! picks a free port) on stderr.
 //!
 //! Client mode drives one verb against a running server:
 //!
@@ -38,7 +43,7 @@ use std::time::Duration;
 const USAGE: &str = "usage: encore-serve --socket PATH \
 --app NAME=KIND=SNAPSHOT [--app ...] [--queue-capacity N] [--workers N] \
 [--poll-interval-ms N] [--metrics-addr HOST:PORT] [--heartbeat FILE] \
-[--event-log FILE] [--slow-micros N] [--profile FILE]
+[--event-log FILE] [--slow-micros N] [--profile FILE] [--watch NAME=DIR ...]
        encore-serve --socket PATH --check APP FILE [FILE...]
        encore-serve --socket PATH --apps | --stats | --reload APP | --shutdown";
 
@@ -80,6 +85,7 @@ struct Args {
     event_log: Option<PathBuf>,
     slow_micros: Option<u64>,
     profile: Option<PathBuf>,
+    watch: Vec<(String, PathBuf)>,
 }
 
 fn parse_app(spec: &str) -> AppArg {
@@ -114,6 +120,7 @@ fn parse_args() -> Args {
         event_log: None,
         slow_micros: None,
         profile: None,
+        watch: Vec::new(),
     };
     let mut argv = std::env::args().skip(1);
     let value = |argv: &mut dyn Iterator<Item = String>, flag: &str| -> String {
@@ -159,6 +166,13 @@ fn parse_args() -> Args {
             "--profile" => {
                 args.profile = Some(PathBuf::from(value(&mut argv, "--profile")));
             }
+            "--watch" => {
+                let spec = value(&mut argv, "--watch");
+                let Some((name, dir)) = spec.split_once('=') else {
+                    usage(&format!("--watch wants NAME=DIR, got `{spec}`"));
+                };
+                args.watch.push((name.to_string(), PathBuf::from(dir)));
+            }
             "--check" => {
                 let app = value(&mut argv, "--check");
                 let files: Vec<PathBuf> = argv.by_ref().map(PathBuf::from).collect();
@@ -199,6 +213,9 @@ fn parse_args() -> Args {
         (Mode::Serve, true) => usage("server mode wants at least one --app"),
         (Mode::Serve, false) => {}
         (_, false) => usage("--app is a server flag; client verbs take none"),
+        (_, true) if !args.watch.is_empty() => {
+            usage("--watch is a server flag; client verbs take none")
+        }
         (_, true) => {}
     }
     args
@@ -234,6 +251,7 @@ fn run_server(args: &Args) -> ! {
     options.metrics_addr = args.metrics_addr.clone();
     options.heartbeat_path = args.heartbeat.clone();
     options.slow_micros = args.slow_micros;
+    options.watch = args.watch.clone();
     let server =
         Server::start(registry, options).unwrap_or_else(|e| fail(&format!("starting server: {e}")));
     // Announcements are best-effort: a supervisor that stopped reading
@@ -247,9 +265,9 @@ fn run_server(args: &Args) -> ! {
         let _ = writeln!(std::io::stderr(), "metrics listening on {addr}");
     }
 
-    // Parity with `encore-detect --watch`: closing stdin stops the
-    // service, so a supervising test (or `echo | encore-serve ...`) gets
-    // a bounded shutdown without needing the protocol.
+    // Closing stdin stops the service, so a supervising test (or
+    // `echo | encore-serve ...`) gets a bounded shutdown without needing
+    // the protocol.
     let stop = server.stop_signal();
     std::thread::spawn(move || {
         let mut sink = [0u8; 4096];

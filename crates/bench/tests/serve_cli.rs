@@ -42,9 +42,9 @@ fn train_snapshot(dir: &Path, name: &str, app: AppKind, seed: u64) -> PathBuf {
     path
 }
 
-/// Spawn the server with stdin held open; returns the child, the
-/// announced metrics address, and the still-open stderr reader (keep it
-/// alive so late server output has somewhere to go).
+/// Spawn the server with stdin held open and stdout piped; returns the
+/// child, the announced metrics address, and the still-open stderr reader
+/// (keep it alive so late server output has somewhere to go).
 fn spawn_server(
     args: &[&str],
     want_metrics: bool,
@@ -52,7 +52,7 @@ fn spawn_server(
     let mut child = Command::new(env!("CARGO_BIN_EXE_encore-serve"))
         .args(args)
         .stdin(Stdio::piped())
-        .stdout(Stdio::null())
+        .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn encore-serve server");
@@ -312,11 +312,83 @@ fn event_log_grammar_holds_over_a_live_run() {
 }
 
 #[test]
+fn watch_prints_each_answered_report_on_stdout() {
+    let dir = scratch_dir("watch");
+    // The snapshot and a dotfile share the watched directory without
+    // being targets.
+    let snap = train_snapshot(&dir, "mysql.snap", AppKind::Mysql, 45);
+    std::fs::write(dir.join(".notes"), "not a target\n").unwrap();
+    let targets = [
+        ("a.cnf", "[mysqld]\nport = 3306\n"),
+        ("b.cnf", "[mysqld]\nport = 99999\nmystery_knob = 1\n"),
+    ];
+    for (name, payload) in targets {
+        std::fs::write(dir.join(name), payload).unwrap();
+    }
+    let socket = dir.join(".serve.sock");
+    let socket_str = socket.to_str().unwrap().to_string();
+    let app = format!("mysql=mysql={}", snap.display());
+    let watch = format!("mysql={}", dir.display());
+    let (mut child, _, _stderr) = spawn_server(
+        &[
+            "--socket",
+            &socket_str,
+            "--app",
+            &app,
+            "--watch",
+            &watch,
+            "--poll-interval-ms",
+            "50",
+        ],
+        false,
+    );
+
+    // Wait until a tick has checked both targets; later ticks are quiet.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        let out = encore_serve(&["--socket", &socket_str, "--stats"]);
+        if stdout(&out).contains("targets_checked 2\n") {
+            break;
+        }
+        assert!(Instant::now() < deadline, "no tick checked the targets");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    std::thread::sleep(Duration::from_millis(200));
+    drop(child.stdin.take());
+    let mut printed = String::new();
+    child
+        .stdout
+        .take()
+        .expect("stdout piped")
+        .read_to_string(&mut printed)
+        .expect("read stdout");
+    assert_eq!(child.wait().expect("server exit").code(), Some(0));
+
+    // Exactly one report per target, each body a direct check_fleet run.
+    let detector = AnomalyDetector::from_snapshot(
+        DetectorSnapshot::parse(&std::fs::read_to_string(&snap).unwrap()).unwrap(),
+    );
+    let mut expected = String::new();
+    for (name, payload) in targets {
+        let image = encore::watch::target_image(AppKind::Mysql, name, payload);
+        let body = detector.check_fleet(AppKind::Mysql, &[image], &FleetOptions::default())[0]
+            .as_ref()
+            .expect("assembles")
+            .render();
+        expected.push_str(&format!("== mysql/{name}\n{body}"));
+    }
+    assert_eq!(printed, expected);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn stdin_eof_stops_the_server_within_a_bounded_latency() {
     let dir = scratch_dir("eof");
     let snap = train_snapshot(&dir, "mysql.snap", AppKind::Mysql, 43);
+    std::fs::write(dir.join("a.cnf"), "[mysqld]\nport = 3306\n").unwrap();
     let socket = dir.join("serve.sock");
     let app = format!("mysql=mysql={}", snap.display());
+    let watch = format!("mysql={}", dir.display());
     // A deliberately huge poll interval: shutdown latency must be bounded
     // by the stop signal, not by sleeping out the interval.
     let (mut child, _, _stderr) = spawn_server(
@@ -325,6 +397,8 @@ fn stdin_eof_stops_the_server_within_a_bounded_latency() {
             socket.to_str().unwrap(),
             "--app",
             &app,
+            "--watch",
+            &watch,
             "--poll-interval-ms",
             "600000",
         ],
@@ -366,6 +440,24 @@ fn usage_errors_exit_2() {
         dir.join("s.sock").to_str().unwrap(),
         "--app",
         "just-a-name",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    // Malformed --watch spec, and --watch with a client verb.
+    let out = encore_serve(&[
+        "--socket",
+        dir.join("s.sock").to_str().unwrap(),
+        "--app",
+        "mysql=mysql=x.snap",
+        "--watch",
+        "no-equals-sign",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    let out = encore_serve(&[
+        "--socket",
+        dir.join("s.sock").to_str().unwrap(),
+        "--watch",
+        "mysql=.",
+        "--apps",
     ]);
     assert_eq!(out.status.code(), Some(2));
     let _ = std::fs::remove_dir_all(&dir);

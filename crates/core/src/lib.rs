@@ -90,7 +90,7 @@ pub use stats::StatsCache;
 pub use template::{Relation, RelationSignature, Slot, Template, TemplateTypeError};
 pub use train::TrainingSet;
 pub use types::TypeMap;
-pub use watch::{CycleOutcome, FileSig, StopFlag, WatchOptions, Watcher};
+pub use watch::{FileSig, StopFlag};
 
 /// Convenience re-exports for downstream users.
 pub mod prelude {
@@ -101,7 +101,7 @@ pub mod prelude {
     pub use crate::snapshot::DetectorSnapshot;
     pub use crate::template::{Relation, Template};
     pub use crate::train::TrainingSet;
-    pub use crate::watch::{CycleOutcome, FileSig, StopFlag, WatchOptions, Watcher};
+    pub use crate::watch::{FileSig, StopFlag};
     pub use crate::{EnCore, LearnOptions};
 }
 

@@ -104,7 +104,8 @@ impl Rule {
             .map_err(|e| format!("bad support: {e}"))?;
         let confidence = next("confidence")?
             .parse::<f64>()
-            .map_err(|e| format!("bad confidence: {e}"))?;
+            .map_err(|e| format!("bad confidence: {e}"))
+            .and_then(checked_confidence)?;
         if fields.next().is_some() {
             return Err("trailing fields after confidence".to_string());
         }
@@ -147,7 +148,8 @@ impl Rule {
             if let Some(v) = token.strip_prefix("sup=") {
                 support = Some(v.parse::<usize>().map_err(|e| format!("bad sup: {e}"))?);
             } else if let Some(v) = token.strip_prefix("conf=") {
-                confidence = Some(v.parse::<f64>().map_err(|e| format!("bad conf: {e}"))?);
+                let parsed = v.parse::<f64>().map_err(|e| format!("bad conf: {e}"))?;
+                confidence = Some(checked_confidence(parsed)?);
             }
         }
         Ok(Rule {
@@ -157,6 +159,17 @@ impl Rule {
             support: support.ok_or("missing `sup=`")?,
             confidence: confidence.ok_or("missing `conf=`")?,
         })
+    }
+}
+
+/// A confidence is a ratio of support counts: reject anything that could
+/// not have been learned (NaN, infinities, values outside `[0, 1]`), so a
+/// corrupt snapshot fails to load instead of loading silently.
+fn checked_confidence(confidence: f64) -> Result<f64, String> {
+    if (0.0..=1.0).contains(&confidence) {
+        Ok(confidence)
+    } else {
+        Err(format!("confidence {confidence} outside [0, 1]"))
     }
 }
 
@@ -362,6 +375,21 @@ mod tests {
         assert!(Rule::parse("datadir => user [NotARel] sup=1 conf=1.0").is_err());
         assert!(Rule::parse("datadir => user [Owns] conf=1.0").is_err());
         assert!(RuleSet::parse("datadir => user [Owns] sup=x conf=1.0").is_err());
+    }
+
+    #[test]
+    fn both_forms_reject_confidences_that_cannot_be_learned() {
+        for conf in ["NaN", "inf", "-inf", "-0.5", "1.5"] {
+            let display = format!("datadir => user [Owns] sup=1 conf={conf}");
+            let err = Rule::parse(&display).expect_err(&display);
+            assert!(err.contains("outside [0, 1]"), "{err}");
+            let tagged = format!("O:datadir\tOwns\tO:user\t1\t{conf}");
+            let err = Rule::parse_tagged(&tagged).expect_err(&tagged);
+            assert!(err.contains("outside [0, 1]"), "{err}");
+        }
+        for conf in ["0.0", "1.0"] {
+            assert!(Rule::parse_tagged(&format!("O:datadir\tOwns\tO:user\t1\t{conf}")).is_ok());
+        }
     }
 
     #[test]

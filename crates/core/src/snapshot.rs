@@ -366,6 +366,18 @@ mod tests {
     }
 
     #[test]
+    fn parse_rejects_non_finite_and_out_of_range_confidences() {
+        let text = sample().render();
+        let good = "\t0.9\n";
+        assert!(text.contains(good), "sample carries a 0.9 confidence");
+        for bad in ["NaN", "inf", "-inf", "-0.25", "1.25"] {
+            let corrupt = text.replacen(good, &format!("\t{bad}\n"), 1);
+            let err = DetectorSnapshot::parse(&corrupt).expect_err(bad);
+            assert!(err.contains("outside [0, 1]"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
     fn peek_version_reads_the_header_only() {
         assert_eq!(DetectorSnapshot::peek_version(&sample().render()), Ok(1));
         assert_eq!(

@@ -1,51 +1,20 @@
-//! Watch-mode detection serving: a long-running poll loop over a
-//! directory of target configuration files.
+//! File-backed detection targets: the pieces every long-running surface
+//! shares.
 //!
-//! ConfEx frames configuration analysis as a continuously running service
-//! over a *changing* image population; this module is that serving shape
-//! for EnCore.  A [`Watcher`] holds a trained [`AnomalyDetector`] and a
-//! directory of target files; each [`Watcher::cycle`] polls the directory
-//! (mtime + size + content-fingerprint signatures — no inotify, no extra
-//! dependencies), re-runs
-//! [`AnomalyDetector::check_fleet`] over only the added/changed targets,
-//! and hot-reloads the detector when its snapshot file changes on disk
-//! (a reload re-checks *every* tracked target, since the rules changed
-//! out from under them).  A malformed snapshot keeps the old detector
-//! serving — a bad deploy must not take the watcher down.
-//!
-//! Each watched file is one target: its contents become the app's config
-//! file in a minimal [`SystemImage`] ([`target_image`]).  Such targets
-//! carry no accounts, services, or filesystem beyond the config itself,
-//! so environment-backed rules evaluate to not-applicable; the watcher
-//! covers the config-content checks (unknown entries, type violations,
-//! suspicious values, and config-only correlations), which is exactly
-//! what a config-file drop box can support.
-//!
-//! Observability: cycles, adds/changes/removes, re-checks, and reloads
-//! count under `detect.watch.*`.  The global sink stays *cumulative*
-//! while the watcher runs — a concurrent `/metrics` scrape sees monotone
-//! counters — and each cycle's report is computed as the delta against
-//! the previous cycle's roll-up ([`PipelineReport::delta_since`]; gauges
-//! are reset at cycle start instead, since they are point-in-time).
-//! When a report path is set the delta is appended as one JSON line — a
-//! JSONL trace of the run that `encore-report` can diff cycle against
-//! cycle, byte-identical whether or not a metrics endpoint is attached.
-//! Daemon-lifetime instruments (`watch.*`, see
-//! [`crate::obs::daemon_phase`]) are updated once per cycle, and a shared
-//! [`Readiness`] flag (when one is wired in) flips true after the first
-//! completed cycle and false while a detector hot-reload is failing.
+//! [`target_image`] wraps one configuration file's contents into a
+//! minimal [`SystemImage`]; such targets carry no accounts, services, or
+//! filesystem beyond the config itself, so environment-backed rules
+//! evaluate to not-applicable and the checks that run are the
+//! config-content ones (unknown entries, type violations, suspicious
+//! values, config-only correlations).  [`FileSig`] is the "did this file
+//! really change" key used by `encore-serve`'s snapshot hot-reload and its
+//! watched target directories, and [`StopFlag`] is the wakeable stop
+//! signal that bounds its shutdown latency.
 
-use crate::detect::{AnomalyDetector, FleetOptions, Report};
-use crate::snapshot::DetectorSnapshot;
-use encore_assemble::AssembleError;
 use encore_model::AppKind;
-use encore_obs::expose::Readiness;
-use encore_obs::PipelineReport;
 use encore_sysimage::SystemImage;
-use std::collections::BTreeMap;
-use std::io::Write;
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
+use std::path::Path;
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant, SystemTime};
 
 /// A file's last observed state: metadata plus a content fingerprint.
@@ -57,10 +26,9 @@ use std::time::{Duration, Instant, SystemTime};
 /// closes that hole; the files are small configs already read every
 /// re-check, so hashing them each poll is cheap and dependency-free.
 ///
-/// Public because every hot-reload surface shares it: the watcher's
-/// target/detector polling here and the per-app snapshot registry in
-/// `encore-serve` both key "did this file really change" on the same
-/// signature.
+/// Public because every hot-reload surface in `encore-serve` shares it:
+/// the per-app snapshot registry and the watched target directories both
+/// key "did this file really change" on the same signature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileSig {
     mtime: SystemTime,
@@ -78,8 +46,7 @@ impl FileSig {
 
 /// A shared, wakeable stop signal for long-running loops.
 ///
-/// [`Watcher::run`] (and the `encore-serve` daemon) must stop *promptly*
-/// when asked — stdin hit end-of-file, a `shutdown` verb arrived — but an
+/// The `encore-serve` daemon must stop *promptly* when asked — stdin hit end-of-file, a `shutdown` verb arrived — but an
 /// idle loop spends almost all of its time sleeping out the poll interval.
 /// A plain `AtomicBool` polled between cycles leaves a full interval of
 /// shutdown latency; this flag pairs the boolean with a [`Condvar`] so
@@ -172,383 +139,10 @@ pub fn target_image(app: AppKind, id: &str, config: &str) -> SystemImage {
         .build()
 }
 
-/// Configuration for a [`Watcher`].
-#[derive(Debug, Clone)]
-pub struct WatchOptions {
-    /// Which app's config files the watched directory holds.
-    pub app: AppKind,
-    /// The directory of target config files (one file = one target;
-    /// dotfiles and subdirectories are ignored).
-    pub dir: PathBuf,
-    /// Sleep between cycles in [`Watcher::run`].
-    pub interval: Duration,
-    /// Stop after this many cycles; `None` runs until the stop callback
-    /// fires.  This is the deterministic, testable shutdown path.
-    pub max_iterations: Option<u64>,
-    /// Worker threads for fleet checking; `None` uses all parallelism.
-    pub workers: Option<usize>,
-    /// A detector snapshot file to hot-reload when its signature changes.
-    pub detector_path: Option<PathBuf>,
-    /// Append one pipeline-report JSON line per cycle here (JSONL).
-    pub report_path: Option<PathBuf>,
-    /// A shared readiness flag to keep in sync with the serve loop
-    /// (typically the one behind a [`MetricsServer`]'s `/readyz`): false
-    /// until the first cycle completes, false again while a detector
-    /// hot-reload is failing.
-    ///
-    /// [`MetricsServer`]: encore_obs::expose::MetricsServer
-    pub readiness: Option<Arc<Readiness>>,
-}
-
-impl WatchOptions {
-    /// Options for watching `dir` for `app` config files, with defaults:
-    /// 1s interval, unbounded iterations, default parallelism, no
-    /// detector reload, no report.
-    pub fn new(app: AppKind, dir: impl Into<PathBuf>) -> WatchOptions {
-        WatchOptions {
-            app,
-            dir: dir.into(),
-            interval: Duration::from_millis(1_000),
-            max_iterations: None,
-            workers: None,
-            detector_path: None,
-            report_path: None,
-            readiness: None,
-        }
-    }
-}
-
-/// What one [`Watcher::cycle`] did.
-#[derive(Debug)]
-pub struct CycleOutcome {
-    /// 1-based cycle number within this watcher's lifetime.
-    pub cycle: u64,
-    /// Targets that appeared this cycle.
-    pub added: usize,
-    /// Targets whose signature changed this cycle.
-    pub changed: usize,
-    /// Targets that disappeared this cycle.
-    pub removed: usize,
-    /// Whether the detector snapshot was hot-reloaded this cycle.
-    pub reloaded_detector: bool,
-    /// A reload that was attempted but failed to parse (the old detector
-    /// keeps serving).
-    pub reload_error: Option<String>,
-    /// Per-target check results for every re-checked target, in target
-    /// name order.
-    pub results: Vec<(String, Result<Report, AssembleError>)>,
-    /// Targets tracked after this cycle.
-    pub tracked: usize,
-    /// Whether the watcher is ready after this cycle: at least one cycle
-    /// completed and the last attempted detector reload did not fail.
-    pub ready: bool,
-    /// The cycle's pipeline report (also appended to the report file,
-    /// when one is configured).
-    pub report: PipelineReport,
-}
-
-/// The watch loop's state: the serving detector plus the last observed
-/// directory signatures.
-pub struct Watcher {
-    options: WatchOptions,
-    detector: AnomalyDetector,
-    targets: BTreeMap<String, FileSig>,
-    detector_sig: Option<FileSig>,
-    cycles: u64,
-    /// The cumulative roll-up at the end of the previous cycle; each
-    /// cycle's report is the delta against this, so the global sink is
-    /// never reset while the watcher runs (scrapes stay monotone).
-    baseline: PipelineReport,
-    /// Latched true by a failed detector reload, cleared by the next
-    /// successful one — the not-ready condition behind `/readyz`.
-    reload_failing: bool,
-}
-
-impl Watcher {
-    /// A watcher serving `detector` under `options`.
-    ///
-    /// Snapshots the global instruments as the delta baseline (without
-    /// resetting them) so the first cycle's report covers only that
-    /// cycle's work, not the training run that preceded it.
-    pub fn new(detector: AnomalyDetector, options: WatchOptions) -> Watcher {
-        let detector_sig = options.detector_path.as_deref().and_then(sig_of);
-        let baseline = crate::obs::pipeline_report();
-        if let Some(readiness) = &options.readiness {
-            readiness.set(false);
-        }
-        Watcher {
-            options,
-            detector,
-            targets: BTreeMap::new(),
-            detector_sig,
-            cycles: 0,
-            baseline,
-            reload_failing: false,
-        }
-    }
-
-    /// Cycles run so far.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// The serving detector.
-    pub fn detector(&self) -> &AnomalyDetector {
-        &self.detector
-    }
-
-    /// Re-read the detector snapshot if its file signature changed.
-    /// Returns `(reloaded, parse error)`; on a parse error the old
-    /// detector keeps serving and the new signature is remembered (no
-    /// retry storm against the same bad file).
-    fn maybe_reload_detector(&mut self) -> (bool, Option<String>) {
-        let Some(path) = self.options.detector_path.as_deref() else {
-            return (false, None);
-        };
-        let sig = sig_of(path);
-        if sig.is_none() || sig == self.detector_sig {
-            return (false, None);
-        }
-        self.detector_sig = sig;
-        let parsed = std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| DetectorSnapshot::parse(&text));
-        match parsed {
-            Ok(snapshot) => {
-                self.detector = AnomalyDetector::from_snapshot(snapshot);
-                crate::obs::DETECT_WATCH_DETECTOR_RELOADS.incr();
-                crate::obs::WATCH_SNAPSHOT_RELOADS.incr();
-                self.reload_failing = false;
-                (true, None)
-            }
-            Err(e) => {
-                self.reload_failing = true;
-                (false, Some(e))
-            }
-        }
-    }
-
-    /// Run one cycle: poll the directory, re-check added/changed targets
-    /// (all targets after a detector reload), update `detect.watch.*`
-    /// metrics, and emit the cycle's report.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-scan and report-append I/O failures.  Target
-    /// files that vanish between scan and read are skipped this cycle.
-    pub fn cycle(&mut self) -> std::io::Result<CycleOutcome> {
-        let cycle_started = Instant::now();
-        self.cycles += 1;
-        // Gauges are point-in-time ("the last run"); clearing them at
-        // cycle start keeps a quiet cycle from inheriting a busy cycle's
-        // pool-spread values, exactly as the old end-of-cycle reset did.
-        crate::obs::reset_gauges();
-        crate::obs::DETECT_WATCH_CYCLES.incr();
-        let (reloaded, reload_error) = self.maybe_reload_detector();
-
-        // Scan: current name → (path, signature) for regular non-dot files.
-        // The detector snapshot may live inside the watch dir; it is not a
-        // target.  Canonicalize it once per cycle, not once per entry — a
-        // vanished detector fails to canonicalize and excludes nothing,
-        // exactly as the per-entry form did.
-        let detector_canon = self
-            .options
-            .detector_path
-            .as_deref()
-            .and_then(|d| std::fs::canonicalize(d).ok());
-        let mut seen: BTreeMap<String, (PathBuf, FileSig)> = BTreeMap::new();
-        for entry in std::fs::read_dir(&self.options.dir)? {
-            let path = entry?.path();
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                continue;
-            };
-            if name.starts_with('.') {
-                continue;
-            }
-            if let Some(canon) = &detector_canon {
-                if std::fs::canonicalize(&path).is_ok_and(|p| p == *canon) {
-                    continue;
-                }
-            }
-            if let Some(sig) = sig_of(&path) {
-                seen.insert(name.to_string(), (path, sig));
-            }
-        }
-
-        // Classify against the previous cycle.
-        let mut added = 0usize;
-        let mut changed = 0usize;
-        let mut recheck: Vec<(String, PathBuf)> = Vec::new();
-        for (name, (path, sig)) in &seen {
-            match self.targets.get(name) {
-                None => {
-                    added += 1;
-                    recheck.push((name.clone(), path.clone()));
-                }
-                Some(old) if old != sig => {
-                    changed += 1;
-                    recheck.push((name.clone(), path.clone()));
-                }
-                // New rules invalidate every previous verdict.
-                Some(_) if reloaded => recheck.push((name.clone(), path.clone())),
-                Some(_) => {}
-            }
-        }
-        let removed = self
-            .targets
-            .keys()
-            .filter(|name| !seen.contains_key(*name))
-            .count();
-        self.targets = seen
-            .iter()
-            .map(|(name, &(_, sig))| (name.clone(), sig))
-            .collect();
-        crate::obs::DETECT_WATCH_TARGETS_ADDED.add(added as u64);
-        crate::obs::DETECT_WATCH_TARGETS_CHANGED.add(changed as u64);
-        crate::obs::DETECT_WATCH_TARGETS_REMOVED.add(removed as u64);
-        crate::obs::DETECT_WATCH_TARGETS_TRACKED.set(self.targets.len() as u64);
-
-        // Re-check: read → wrap → one fleet batch.
-        let mut names: Vec<String> = Vec::new();
-        let mut images: Vec<SystemImage> = Vec::new();
-        for (name, path) in recheck {
-            let Ok(contents) = std::fs::read_to_string(&path) else {
-                continue; // vanished or unreadable: next cycle's problem
-            };
-            images.push(target_image(self.options.app, &name, &contents));
-            names.push(name);
-        }
-        crate::obs::DETECT_WATCH_TARGETS_RECHECKED.add(images.len() as u64);
-        let results: Vec<(String, Result<Report, AssembleError>)> = if images.is_empty() {
-            Vec::new()
-        } else {
-            let options = FleetOptions {
-                workers: self.options.workers,
-            };
-            let checked = self
-                .detector
-                .check_fleet(self.options.app, &images, &options);
-            names.into_iter().zip(checked).collect()
-        };
-
-        // Daemon-lifetime instruments (scrape surface only; the `daemon`
-        // phase is not part of the per-cycle pipeline report).
-        crate::obs::WATCH_CYCLES.incr();
-        crate::obs::WATCH_TARGETS_CHECKED.add(results.len() as u64);
-        let warnings: u64 = results
-            .iter()
-            .map(|(_, r)| {
-                r.as_ref()
-                    .map_or(0, |report| report.warnings().len() as u64)
-            })
-            .sum();
-        crate::obs::WATCH_WARNINGS.add(warnings);
-        let unix_seconds = SystemTime::now()
-            .duration_since(SystemTime::UNIX_EPOCH)
-            .map_or(0, |d| d.as_secs());
-        crate::obs::WATCH_LAST_CYCLE_UNIX.set(unix_seconds);
-        let elapsed_ms = u64::try_from(cycle_started.elapsed().as_millis()).unwrap_or(u64::MAX);
-        crate::obs::WATCH_CYCLE_DURATION.observe(elapsed_ms);
-        if crate::obs::event::enabled() {
-            use crate::obs::json::Json;
-            let duration_us =
-                u64::try_from(cycle_started.elapsed().as_micros()).unwrap_or(u64::MAX);
-            crate::obs::event::emit(
-                crate::obs::event::Level::Info,
-                "watch.cycle",
-                vec![
-                    ("cycle".to_string(), Json::Num(self.cycles)),
-                    ("added".to_string(), Json::Num(added as u64)),
-                    ("changed".to_string(), Json::Num(changed as u64)),
-                    ("removed".to_string(), Json::Num(removed as u64)),
-                    ("rechecked".to_string(), Json::Num(results.len() as u64)),
-                    ("warnings".to_string(), Json::Num(warnings)),
-                    ("tracked".to_string(), Json::Num(self.targets.len() as u64)),
-                    ("reloaded".to_string(), Json::Bool(reloaded)),
-                    ("duration_us".to_string(), Json::Num(duration_us)),
-                ],
-            );
-        }
-
-        // Per-cycle report = cumulative roll-up minus the previous
-        // cycle's; the sink itself is never reset, so a concurrent
-        // `/metrics` scrape always sees monotone counters.
-        let cumulative = crate::obs::pipeline_report();
-        let report = cumulative.delta_since(&self.baseline, &crate::obs::histogram_bounds);
-        self.baseline = cumulative;
-        if let Some(path) = &self.options.report_path {
-            let mut file = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)?;
-            writeln!(file, "{}", report.render_json())?;
-        }
-        let ready = !self.reload_failing;
-        if let Some(readiness) = &self.options.readiness {
-            readiness.set(ready);
-        }
-        Ok(CycleOutcome {
-            cycle: self.cycles,
-            added,
-            changed,
-            removed,
-            reloaded_detector: reloaded,
-            reload_error,
-            results,
-            tracked: self.targets.len(),
-            ready,
-            report,
-        })
-    }
-
-    /// Run cycles until `stop` is signalled, `max_iterations` is reached,
-    /// or a cycle fails.  `on_cycle` observes every completed cycle (print
-    /// it, collect it, ...).  Returns the total cycles run — exactly
-    /// `max_iterations` when one is set and stop is never signalled.
-    ///
-    /// Two timing guarantees:
-    ///
-    /// * **No drift.** Each tick sleeps `interval` minus the time the
-    ///   cycle (and its observer) took, so the effective period stays
-    ///   `interval` instead of `interval + cycle_time`.  A cycle slower
-    ///   than the interval starts the next tick immediately; it is never
-    ///   "made up" with back-to-back extra cycles.
-    /// * **Bounded shutdown.** The inter-cycle wait is a [`StopFlag`]
-    ///   condvar wait, so [`StopFlag::stop`] — from a stdin-EOF watcher, a
-    ///   `shutdown` verb, a signal thread — ends the loop immediately
-    ///   rather than after up to a full interval.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first failing [`Watcher::cycle`].
-    pub fn run(
-        &mut self,
-        stop: &StopFlag,
-        mut on_cycle: impl FnMut(&CycleOutcome),
-    ) -> std::io::Result<u64> {
-        loop {
-            if stop.is_stopped() {
-                return Ok(self.cycles);
-            }
-            let tick_started = Instant::now();
-            let outcome = self.cycle()?;
-            on_cycle(&outcome);
-            if let Some(max) = self.options.max_iterations {
-                if self.cycles >= max {
-                    return Ok(self.cycles);
-                }
-            }
-            let remaining = self.options.interval.saturating_sub(tick_started.elapsed());
-            if stop.wait_timeout(remaining) {
-                return Ok(self.cycles);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("encore-sig-{tag}-{}", std::process::id()));
@@ -598,71 +192,6 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
-    }
-
-    /// A rule-free detector: enough for exercising loop timing over an
-    /// empty directory without a training corpus.
-    fn empty_detector() -> AnomalyDetector {
-        AnomalyDetector::from_parts(
-            crate::rules::RuleSet::default(),
-            crate::types::TypeMap::default(),
-            crate::detect::TrainingStats::default(),
-        )
-    }
-
-    #[test]
-    fn run_ticks_align_to_the_interval_instead_of_drifting() {
-        let dir = scratch("tick-align");
-        let interval = Duration::from_millis(150);
-        let work = Duration::from_millis(100);
-        let mut options = WatchOptions::new(AppKind::Mysql, &dir);
-        options.interval = interval;
-        options.max_iterations = Some(3);
-        let mut watcher = Watcher::new(empty_detector(), options);
-        let started = Instant::now();
-        let cycles = watcher
-            .run(&StopFlag::new(), |_| std::thread::sleep(work))
-            .expect("run");
-        let elapsed = started.elapsed();
-        assert_eq!(cycles, 3);
-        // Drift-free schedule: two full interval ticks plus the last
-        // cycle's work — the 100ms observer is absorbed into each 150ms
-        // tick.  The old `sleep(interval)`-after-work loop needs at least
-        // 2*(150+100)+100 = 600ms; leave scheduling slack below that.
-        assert!(
-            elapsed >= Duration::from_millis(2 * 150 + 100),
-            "ran too fast: {elapsed:?}"
-        );
-        assert!(
-            elapsed < Duration::from_millis(520),
-            "interval drifted by cycle time: {elapsed:?}"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stop_interrupts_the_inter_cycle_wait_immediately() {
-        let dir = scratch("stop-wakes");
-        let mut options = WatchOptions::new(AppKind::Mysql, &dir);
-        // An interval far beyond the test budget: only a woken wait passes.
-        options.interval = Duration::from_secs(600);
-        let mut watcher = Watcher::new(empty_detector(), options);
-        let stop = Arc::new(StopFlag::new());
-        let stopper = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(50));
-            stopper.stop();
-        });
-        let started = Instant::now();
-        let cycles = watcher.run(&stop, |_| {}).expect("run");
-        let elapsed = started.elapsed();
-        handle.join().expect("stopper thread");
-        assert_eq!(cycles, 1, "one cycle, then the interrupted wait");
-        assert!(
-            elapsed < Duration::from_secs(5),
-            "stop did not interrupt the wait: {elapsed:?}"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

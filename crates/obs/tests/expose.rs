@@ -6,10 +6,11 @@
 //! Regenerate the golden after an intentional format change with
 //! `UPDATE_GOLDEN=1 cargo test -p encore-obs --test expose`.
 
-use encore_obs::expose::{self, MetricsServer, Readiness};
+use encore_obs::expose::{self, MetricsServer};
 use encore_obs::{Counter, Histogram, PhaseReport, PipelineReport, Timer};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 const GOLDEN: &str = include_str!("golden/exposition.txt");
@@ -137,10 +138,23 @@ fn get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
     http_request(addr, &format!("GET {path} HTTP/1.0\r\n\r\n"))
 }
 
+/// A `/readyz` status closure over a shared flag, with the plain
+/// `ready`/`not ready` body of a single-component daemon.
+fn flag_status(flag: &Arc<AtomicBool>) -> impl Fn() -> (bool, String) + Send + 'static {
+    let flag = Arc::clone(flag);
+    move || {
+        if flag.load(Ordering::Relaxed) {
+            (true, "ready\n".to_string())
+        } else {
+            (false, "not ready\n".to_string())
+        }
+    }
+}
+
 #[test]
 fn metrics_server_routes_and_readiness_flip() {
-    let readiness = Arc::new(Readiness::new());
-    let server = MetricsServer::start("127.0.0.1:0", Arc::clone(&readiness), || {
+    let ready = Arc::new(AtomicBool::new(false));
+    let server = MetricsServer::start_with_status("127.0.0.1:0", flag_status(&ready), || {
         expose::render(&fixture_report(), &fixture_bounds)
     })
     .expect("bind port 0");
@@ -159,11 +173,11 @@ fn metrics_server_routes_and_readiness_flip() {
     let (status, body) = get(addr, "/readyz");
     assert!(status.contains("503"), "{status}");
     assert_eq!(body, "not ready\n");
-    readiness.set(true);
+    ready.store(true, Ordering::Relaxed);
     let (status, body) = get(addr, "/readyz");
     assert!(status.contains("200"), "{status}");
     assert_eq!(body, "ready\n");
-    readiness.set(false);
+    ready.store(false, Ordering::Relaxed);
     let (status, _) = get(addr, "/readyz");
     assert!(status.contains("503"), "{status}");
 
@@ -175,7 +189,6 @@ fn metrics_server_routes_and_readiness_flip() {
 
 #[test]
 fn status_closure_drives_readyz_with_a_per_component_body() {
-    use std::sync::atomic::{AtomicBool, Ordering};
     let healthy = Arc::new(AtomicBool::new(false));
     let probe = Arc::clone(&healthy);
     let server = MetricsServer::start_with_status(
@@ -205,13 +218,16 @@ fn status_closure_drives_readyz_with_a_per_component_body() {
 
 #[test]
 fn metrics_server_stop_is_idempotent_and_frees_the_port() {
-    let readiness = Arc::new(Readiness::new());
-    let mut server = MetricsServer::start("127.0.0.1:0", readiness, String::new).expect("bind");
+    let ready = Arc::new(AtomicBool::new(true));
+    let mut server =
+        MetricsServer::start_with_status("127.0.0.1:0", flag_status(&ready), String::new)
+            .expect("bind");
     let addr = server.addr();
     server.stop();
     server.stop();
     drop(server);
     // The port is free again: a second server can bind it.
-    let again = MetricsServer::start(&addr.to_string(), Arc::new(Readiness::new()), String::new);
+    let again =
+        MetricsServer::start_with_status(&addr.to_string(), flag_status(&ready), String::new);
     assert!(again.is_ok(), "rebinding the freed port: {:?}", again.err());
 }

@@ -14,10 +14,13 @@
 //!
 //! Requests flow through a [`BoundedQueue`] with explicit backpressure —
 //! a full queue answers `busy` instead of stacking latency — into a
-//! single dispatcher feeding the work-stealing detection pool.  The
-//! PR 8 telemetry surface is threaded through: `/metrics`, `/healthz`,
-//! and a per-app `/readyz` over TCP, a JSONL heartbeat on the poll loop,
-//! and a `serve` phase section of instruments ([`obs`]).
+//! single dispatcher feeding the work-stealing detection pool.  Watched
+//! directories ([`ServeOptions::watch`]) are a second target source on
+//! the same queue: each poll tick re-checks a directory's added or
+//! changed config files and prints their reports.  The telemetry surface
+//! is threaded through: `/metrics`, `/healthz`, and a per-app `/readyz`
+//! over TCP, a JSONL heartbeat on the poll loop, and a `serve` phase
+//! section whose request counters are the `stats` verb's ([`obs`]).
 //!
 //! See DESIGN.md §15 for the protocol grammar, registry lifecycle, and
 //! backpressure contract.
@@ -28,9 +31,10 @@ pub mod protocol;
 pub mod queue;
 pub mod registry;
 pub mod server;
+mod watch;
 
 pub use client::Client;
-pub use protocol::{CheckReply, Request, Response, MAX_PAYLOAD, MAX_TARGETS};
+pub use protocol::{CheckReply, Request, Response, MAX_PAYLOAD, MAX_REQUEST_BYTES, MAX_TARGETS};
 pub use queue::BoundedQueue;
 pub use registry::{AppStatus, SnapshotRegistry};
 pub use server::{ServeOptions, ServeStats, Server};

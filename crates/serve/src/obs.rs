@@ -7,23 +7,15 @@
 //! scheduling-dependent (queue depth at scrape time, wall-clock request
 //! latency) is a gauge or timer-style histogram over microseconds.
 //!
-//! These instruments feed `/metrics` and the JSONL heartbeat only.  The
-//! `stats` protocol verb is served from the plain atomic
-//! [`ServeStats`](crate::server::ServeStats) counters instead, because
-//! the obs sink no-ops when disabled and the verb must work regardless.
+//! The request counters (`serve.requests`, `serve.checks`,
+//! `serve.targets_checked`, `serve.rejected_busy`, `serve.errors`) are
+//! not obs instruments: the phase renders them from the server's own
+//! [`ServeStats`], the same atomics the `stats` verb reads, so `/metrics`,
+//! the heartbeat, and `stats` report one set of numbers.
 
+use crate::server::ServeStats;
 use encore_obs::{Counter, Gauge, Histogram, PhaseReport, PipelineReport};
 
-/// Requests read off client connections (any verb, well-formed or not).
-pub static REQUESTS: Counter = Counter::new("serve.requests");
-/// `check` requests accepted into the queue.
-pub static CHECKS: Counter = Counter::new("serve.checks");
-/// Target payloads checked (sum of per-request target counts).
-pub static TARGETS_CHECKED: Counter = Counter::new("serve.targets_checked");
-/// Requests rejected with `busy` because the bounded queue was full.
-pub static REJECTED_BUSY: Counter = Counter::new("serve.rejected_busy");
-/// Requests answered with `error` (malformed, unknown app, failed admin).
-pub static ERRORS: Counter = Counter::new("serve.errors");
 /// Successful snapshot reloads across all registered apps.
 pub static SNAPSHOT_RELOADS: Counter = Counter::new("serve.snapshot_reloads");
 /// Failed snapshot reloads (the old detector kept serving).
@@ -67,14 +59,15 @@ pub fn sync_event_gauges() {
     EVENTS_QUEUE_DEPTH.set(health.queue_depth);
 }
 
-/// Snapshot of the `serve` phase.
-pub fn serve_phase() -> PhaseReport {
-    PhaseReport::new("serve")
-        .counter(&REQUESTS)
-        .counter(&CHECKS)
-        .counter(&TARGETS_CHECKED)
-        .counter(&REJECTED_BUSY)
-        .counter(&ERRORS)
+/// Snapshot of the `serve` phase, request counters read from `stats`.
+pub fn serve_phase(stats: &ServeStats) -> PhaseReport {
+    let mut phase = PhaseReport::new("serve");
+    phase.counters = stats
+        .counters()
+        .iter()
+        .map(|(name, value)| (format!("serve.{name}"), *value))
+        .collect();
+    phase
         .counter(&SNAPSHOT_RELOADS)
         .counter(&RELOAD_FAILURES)
         .gauge(&QUEUE_DEPTH)
@@ -88,12 +81,12 @@ pub fn serve_phase() -> PhaseReport {
         .histogram(&QUEUE_WAIT)
 }
 
-/// The service's scrape view: the core pipeline + daemon phases with the
-/// `serve` section appended.
-pub fn scrape_report() -> PipelineReport {
+/// The service's scrape view: the core pipeline phases with the `serve`
+/// section appended.
+pub fn scrape_report(stats: &ServeStats) -> PipelineReport {
     sync_event_gauges();
-    let mut report = encore::obs::scrape_report();
-    report.phases.push(serve_phase());
+    let mut report = encore::obs::pipeline_report();
+    report.phases.push(serve_phase(stats));
     report
 }
 
@@ -107,24 +100,15 @@ pub fn histogram_bounds(name: &str) -> Option<&'static [u64]> {
 }
 
 /// Render the service scrape view in the Prometheus exposition format.
-pub fn render_prometheus() -> String {
-    encore_obs::expose::render(&scrape_report(), &histogram_bounds)
+pub fn render_prometheus(stats: &ServeStats) -> String {
+    encore_obs::expose::render(&scrape_report(stats), &histogram_bounds)
 }
 
 /// Reset every serve-phase instrument (tests only; a live service never
 /// resets).
 pub fn reset() {
-    for counter in [
-        &REQUESTS,
-        &CHECKS,
-        &TARGETS_CHECKED,
-        &REJECTED_BUSY,
-        &ERRORS,
-        &SNAPSHOT_RELOADS,
-        &RELOAD_FAILURES,
-    ] {
-        counter.reset();
-    }
+    SNAPSHOT_RELOADS.reset();
+    RELOAD_FAILURES.reset();
     for gauge in [
         &QUEUE_DEPTH,
         &QUEUE_CAPACITY,
@@ -146,7 +130,7 @@ mod tests {
 
     #[test]
     fn scrape_report_appends_the_serve_phase() {
-        let names: Vec<String> = scrape_report()
+        let names: Vec<String> = scrape_report(&ServeStats::default())
             .phases
             .iter()
             .map(|p| p.name.clone())
@@ -160,7 +144,7 @@ mod tests {
 
     #[test]
     fn histogram_bounds_covers_serve_and_delegates_to_core() {
-        for phase in &scrape_report().phases {
+        for phase in &scrape_report(&ServeStats::default()).phases {
             for (name, snap) in &phase.histograms {
                 let bounds = histogram_bounds(name)
                     .unwrap_or_else(|| panic!("no bounds registered for `{name}`"));
@@ -171,9 +155,14 @@ mod tests {
 
     #[test]
     fn prometheus_rendering_validates_and_includes_serve_samples() {
-        let text = render_prometheus();
+        let stats = ServeStats::default();
+        stats
+            .requests
+            .store(3, std::sync::atomic::Ordering::Relaxed);
+        let text = render_prometheus(&stats);
         encore_obs::expose::validate(&text).expect("exposition validates");
         assert!(text.contains("# TYPE encore_serve_requests_total counter\n"));
+        assert!(text.contains("\nencore_serve_requests_total 3\n"));
         assert!(text.contains("encore_serve_request_duration_us_bucket{le=\"30000000\"}"));
         assert!(text.contains("encore_serve_events_written"));
     }

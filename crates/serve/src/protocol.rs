@@ -26,9 +26,10 @@
 //! connection; well-formed requests that merely fail (unknown app, failed
 //! reload) get an `error` response on a connection that stays usable.
 //!
-//! The framing carries explicit ceilings — [`MAX_TARGETS`] per check and
-//! [`MAX_PAYLOAD`] bytes per target — so a malformed or malicious length
-//! prefix cannot make the server allocate unboundedly.
+//! The framing carries explicit ceilings — [`MAX_TARGETS`] per check,
+//! [`MAX_PAYLOAD`] bytes per target, and [`MAX_REQUEST_BYTES`] of payload
+//! per request — so a malformed or malicious length prefix cannot make the
+//! server allocate unboundedly.
 
 use std::io::{self, BufRead, Write};
 
@@ -38,6 +39,11 @@ pub const MAX_TARGETS: usize = 1024;
 /// Largest accepted target payload, in bytes (1 MiB — config files are
 /// orders of magnitude smaller).
 pub const MAX_PAYLOAD: usize = 1 << 20;
+
+/// Largest accepted sum of target payload bytes in one `check` request
+/// (16 MiB).  Without it, [`MAX_TARGETS`] frames of [`MAX_PAYLOAD`] bytes
+/// each would let one request hold 1 GiB.
+pub const MAX_REQUEST_BYTES: usize = 16 << 20;
 
 /// One parsed client request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -174,6 +180,7 @@ fn finish_request(reader: &mut impl BufRead, line: &str) -> io::Result<Result<Re
                 Err(_) => return malformed(format!("bad check count `{count}`")),
             };
             let mut targets = Vec::with_capacity(count);
+            let mut total = 0usize;
             for _ in 0..count {
                 let Some(frame) = read_line(reader)? else {
                     return Err(io::Error::new(
@@ -199,6 +206,12 @@ fn finish_request(reader: &mut impl BufRead, line: &str) -> io::Result<Result<Re
                     Ok(n) => return malformed(format!("target payload {n} exceeds {MAX_PAYLOAD}")),
                     Err(_) => return malformed(format!("bad target length in `{frame}`")),
                 };
+                total += len;
+                if total > MAX_REQUEST_BYTES {
+                    return malformed(format!(
+                        "check payloads total {total} bytes, over {MAX_REQUEST_BYTES}"
+                    ));
+                }
                 match read_body(reader, len)? {
                     Ok(payload) => targets.push((name.to_string(), payload)),
                     Err(reason) => return malformed(reason),
@@ -464,6 +477,30 @@ mod tests {
             let reason = result.expect_err("malformed");
             assert!(reason.contains(needle), "`{reason}` lacks `{needle}`");
         }
+    }
+
+    #[test]
+    fn legal_frames_over_the_total_request_cap_are_malformed() {
+        // Every frame is within MAX_PAYLOAD and the count within
+        // MAX_TARGETS, but the payloads sum past MAX_REQUEST_BYTES.  The
+        // last frame's body is never sent: the header alone must trip the
+        // cap before that body is allocated.
+        let frames = MAX_REQUEST_BYTES / MAX_PAYLOAD + 1;
+        assert!(frames <= MAX_TARGETS);
+        let mut wire = format!("check mysql {frames}\n").into_bytes();
+        let body = vec![b'x'; MAX_PAYLOAD];
+        for i in 0..frames - 1 {
+            wire.extend_from_slice(format!("target t{i} {MAX_PAYLOAD}\n").as_bytes());
+            wire.extend_from_slice(&body);
+            wire.push(b'\n');
+        }
+        wire.extend_from_slice(format!("target last {MAX_PAYLOAD}\n").as_bytes());
+        let mut reader = BufReader::new(wire.as_slice());
+        let reason = read_request(&mut reader)
+            .expect("no I/O error")
+            .expect("not EOF")
+            .expect_err("over the request cap");
+        assert!(reason.contains("over"), "{reason}");
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! signature is remembered (no retry storm against the same bad file),
 //! and only that app's readiness flips — the aggregate feeds `/readyz`
 //! with one body line per app so an operator can see which tenant is
-//! sick.  This generalizes the single-detector hot-reload contract of
-//! [`encore::Watcher`] to a multi-tenant service.
+//! sick.  Watched target directories (`--watch`) read each app's reload
+//! count to know when every target needs a fresh verdict.
 
 use encore::{AnomalyDetector, DetectorSnapshot, FileSig};
 use encore_model::AppKind;
@@ -97,6 +97,12 @@ impl SnapshotRegistry {
         let apps = self.apps.lock().expect("registry poisoned");
         apps.get(name)
             .map(|app| (app.kind, Arc::clone(&app.detector)))
+    }
+
+    /// The snapshot file `name` loads from, if registered.
+    pub(crate) fn snapshot_path(&self, name: &str) -> Option<PathBuf> {
+        let apps = self.apps.lock().expect("registry poisoned");
+        apps.get(name).map(|app| app.path.clone())
     }
 
     /// Registered app names, sorted.
@@ -310,6 +316,48 @@ mod tests {
         assert_eq!(body, "mysql not-ready\nweb ready\n");
         // The healthy app is untouched.
         assert!(registry.detector("web").is_some());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reload_of_a_non_finite_confidence_keeps_the_old_detector() {
+        use encore::{Relation, Rule};
+        use encore_model::AttrName;
+        let dir = temp_dir("confidence");
+        let mut rules = RuleSet::default();
+        rules.push(Rule::new(
+            AttrName::entry("datadir"),
+            Relation::Owns,
+            AttrName::entry("user"),
+            9,
+            0.75,
+        ));
+        let text = AnomalyDetector::from_parts(rules, TypeMap::default(), TrainingStats::default())
+            .snapshot()
+            .render();
+        let path = dir.join("mysql.snap");
+        std::fs::write(&path, &text).expect("write snapshot");
+        let registry = SnapshotRegistry::new();
+        registry
+            .load("mysql", AppKind::Mysql, &path)
+            .expect("valid snapshot loads");
+        let (_, before) = registry.detector("mysql").expect("registered");
+
+        // Same file, one confidence flipped to NaN: it must not load.
+        assert!(text.contains("\t0.75\n"));
+        std::fs::write(&path, text.replace("\t0.75\n", "\tNaN\n")).expect("corrupt");
+        assert_eq!(registry.poll(), vec!["mysql".to_string()]);
+        let status = &registry.statuses()[0];
+        assert!(!status.ready, "a corrupt confidence flips readiness");
+        assert!(
+            status
+                .last_error
+                .as_deref()
+                .is_some_and(|e| e.contains("outside [0, 1]")),
+            "{status:?}"
+        );
+        let (_, after) = registry.detector("mysql").expect("still serving");
+        assert!(Arc::ptr_eq(&before, &after), "old detector retained");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

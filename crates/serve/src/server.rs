@@ -8,7 +8,8 @@
 //!                                   │    ▲                               │
 //!                                   │    └── reply channel (capacity 1) ─┘
 //!                                   └─ admin verbs answered inline
-//!  poll thread: registry.poll() + JSONL heartbeat every interval
+//!  poll thread: registry.poll() + watched dirs ──► BoundedQueue
+//!               + JSONL heartbeat, every interval
 //!  metrics server: /metrics /healthz /readyz   (optional TCP port)
 //! ```
 //!
@@ -27,14 +28,16 @@
 use crate::protocol::{self, Request, Response};
 use crate::queue::BoundedQueue;
 use crate::registry::SnapshotRegistry;
+use crate::watch::WatchedDir;
 use encore::{FleetOptions, StopFlag};
 use encore_obs::expose::MetricsServer;
+use encore_obs::PipelineReport;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::SyncSender;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -47,7 +50,8 @@ pub struct ServeOptions {
     pub queue_capacity: usize,
     /// Worker threads per fleet check; `None` uses all parallelism.
     pub workers: Option<usize>,
-    /// Snapshot-change poll interval for hot reloads.
+    /// Poll interval for snapshot hot reloads, watched directories, and
+    /// the heartbeat; the first tick comes one interval after start.
     pub poll_interval: Duration,
     /// `host:port` for the Prometheus `/metrics`, `/healthz`, `/readyz`
     /// endpoints; `None` disables the HTTP surface.
@@ -60,11 +64,19 @@ pub struct ServeOptions {
     /// the full decomposition, plus per-stage fragments in the trace
     /// ring.  `None` disables the capture.
     pub slow_micros: Option<u64>,
+    /// Watched target directories as `(app name, directory)`.  Every poll
+    /// tick checks the directory's added or changed files against that
+    /// app — all of them after its snapshot reloads — through the same
+    /// queue as socket clients, and prints each answered report on stdout
+    /// as `== NAME/file` plus the body.  Dotfiles, subdirectories, and the
+    /// app's snapshot file are not targets; a `busy` queue leaves a target
+    /// for the next tick.
+    pub watch: Vec<(String, PathBuf)>,
 }
 
 impl ServeOptions {
     /// Defaults: queue of 16, all-core checks, 1 s poll, no HTTP surface,
-    /// no heartbeat, no slow-request capture.
+    /// no heartbeat, no slow-request capture, no watched directories.
     pub fn new(socket: impl Into<PathBuf>) -> ServeOptions {
         ServeOptions {
             socket: socket.into(),
@@ -74,15 +86,16 @@ impl ServeOptions {
             metrics_addr: None,
             heartbeat_path: None,
             slow_micros: None,
+            watch: Vec::new(),
         }
     }
 }
 
-/// Plain atomic service counters behind the `stats` verb.
+/// The service's counters: the one set of numbers behind the `stats`
+/// verb, the `serve` phase of `/metrics`, and the heartbeat.
 ///
-/// Deliberately *not* the obs instruments: those no-op when the global
-/// sink is disabled, and `stats` must answer truthfully regardless.  The
-/// obs instruments are updated alongside these for the scrape surface.
+/// Plain atomics rather than obs instruments, which no-op while the
+/// global sink is disabled — `stats` must answer truthfully regardless.
 #[derive(Debug, Default)]
 pub struct ServeStats {
     /// Requests read off client connections (any verb).
@@ -98,22 +111,28 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
+    /// Every counter by name, in `stats` verb order.
+    pub(crate) fn counters(&self) -> [(&'static str, u64); 5] {
+        [
+            ("requests", &self.requests),
+            ("checks", &self.checks),
+            ("targets_checked", &self.targets_checked),
+            ("rejected_busy", &self.rejected_busy),
+            ("errors", &self.errors),
+        ]
+        .map(|(name, counter)| (name, counter.load(Ordering::Relaxed)))
+    }
+
     fn lines(&self, queue: &BoundedQueue<Job>, registry: &SnapshotRegistry) -> Vec<String> {
         let statuses = registry.statuses();
         let ready = statuses.iter().filter(|s| s.ready).count();
         let events = encore_obs::event::health();
-        vec![
-            format!("requests {}", self.requests.load(Ordering::Relaxed)),
-            format!("checks {}", self.checks.load(Ordering::Relaxed)),
-            format!(
-                "targets_checked {}",
-                self.targets_checked.load(Ordering::Relaxed)
-            ),
-            format!(
-                "rejected_busy {}",
-                self.rejected_busy.load(Ordering::Relaxed)
-            ),
-            format!("errors {}", self.errors.load(Ordering::Relaxed)),
+        let mut lines: Vec<String> = self
+            .counters()
+            .iter()
+            .map(|(name, value)| format!("{name} {value}"))
+            .collect();
+        lines.extend([
             format!("queue_depth {}", queue.depth()),
             format!("queue_capacity {}", queue.capacity()),
             format!("apps {}", statuses.len()),
@@ -121,7 +140,8 @@ impl ServeStats {
             format!("events_written {}", events.written),
             format!("events_dropped {}", events.dropped),
             format!("events_queue_depth {}", events.queue_depth),
-        ]
+        ]);
+        lines
     }
 }
 
@@ -167,10 +187,28 @@ pub struct Server {
     queue: Arc<BoundedQueue<Job>>,
     stats: Arc<ServeStats>,
     registry: Arc<SnapshotRegistry>,
+    poll: Arc<Poller>,
     accept: Option<JoinHandle<()>>,
     dispatcher: Option<JoinHandle<()>>,
     poller: Option<JoinHandle<()>>,
     metrics: Option<MetricsServer>,
+}
+
+/// What a poll tick touches, shared by the poll thread and
+/// [`Server::poll_now`].
+struct Poller {
+    registry: Arc<SnapshotRegistry>,
+    queue: Arc<BoundedQueue<Job>>,
+    stats: Arc<ServeStats>,
+    heartbeat: Option<PathBuf>,
+    /// Tick state; holding the lock also serializes ticks.
+    state: Mutex<PollState>,
+}
+
+struct PollState {
+    /// The scrape view at the previous heartbeat.
+    baseline: PipelineReport,
+    watched: Vec<WatchedDir>,
 }
 
 /// Bind the unix socket, recovering a stale file left by a crashed
@@ -198,8 +236,24 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates socket-bind and metrics-bind failures.
+    /// Propagates socket-bind and metrics-bind failures; a watched
+    /// directory that is unreadable or names an unregistered app is
+    /// `InvalidInput`.
     pub fn start(registry: SnapshotRegistry, options: ServeOptions) -> io::Result<Server> {
+        for (app, dir) in &options.watch {
+            if registry.detector(app).is_none() {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("watched app `{app}` is not registered"),
+                ));
+            }
+            std::fs::read_dir(dir).map_err(|e| {
+                io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("watched directory {}: {e}", dir.display()),
+                )
+            })?;
+        }
         let listener = bind_socket(&options.socket)?;
         let registry = Arc::new(registry);
         let stop = Arc::new(StopFlag::new());
@@ -211,10 +265,11 @@ impl Server {
         let metrics = match &options.metrics_addr {
             Some(addr) => {
                 let status_registry = Arc::clone(&registry);
+                let stats = Arc::clone(&stats);
                 Some(MetricsServer::start_with_status(
                     addr,
                     move || status_registry.ready(),
-                    crate::obs::render_prometheus,
+                    move || crate::obs::render_prometheus(&stats),
                 )?)
             }
             None => None,
@@ -227,12 +282,25 @@ impl Server {
             std::thread::spawn(move || dispatch_loop(&queue, &registry, workers))
         };
 
+        let poll = Arc::new(Poller {
+            registry: Arc::clone(&registry),
+            queue: Arc::clone(&queue),
+            stats: Arc::clone(&stats),
+            heartbeat: options.heartbeat_path.clone(),
+            state: Mutex::new(PollState {
+                baseline: crate::obs::scrape_report(&stats),
+                watched: options
+                    .watch
+                    .iter()
+                    .map(|(app, dir)| WatchedDir::new(app.clone(), dir.clone()))
+                    .collect(),
+            }),
+        });
         let poller = {
-            let registry = Arc::clone(&registry);
+            let poll = Arc::clone(&poll);
             let stop = Arc::clone(&stop);
             let interval = options.poll_interval;
-            let heartbeat = options.heartbeat_path.clone();
-            std::thread::spawn(move || poll_loop(&registry, &stop, interval, heartbeat.as_deref()))
+            std::thread::spawn(move || run_ticks(&stop, interval, || print_reports(&poll.tick())))
         };
 
         let accept = {
@@ -252,11 +320,21 @@ impl Server {
             queue,
             stats,
             registry,
+            poll,
             accept: Some(accept),
             dispatcher: Some(dispatcher),
             poller: Some(poller),
             metrics,
         })
+    }
+
+    /// Run one poll tick now, exactly as the poll thread does every
+    /// interval: reload changed snapshots, check the watched directories'
+    /// added or changed targets, append the heartbeat line.  Returns the
+    /// watched reports answered this tick as `(NAME/file, body)` pairs;
+    /// unlike the poll thread, it does not print them.
+    pub fn poll_now(&self) -> Vec<(String, String)> {
+        self.poll.tick()
     }
 
     /// The socket path clients connect to.
@@ -382,7 +460,6 @@ fn run_check(
         .collect();
     let options = FleetOptions { workers };
     let results = detector.check_fleet(kind, &images, &options);
-    crate::obs::TARGETS_CHECKED.add(targets.len() as u64);
     let reports = targets
         .iter()
         .zip(results)
@@ -397,24 +474,25 @@ fn run_check(
     Response::Reports(reports)
 }
 
-/// Hot-reload poller + JSONL heartbeat.
-fn poll_loop(
-    registry: &SnapshotRegistry,
-    stop: &StopFlag,
-    interval: Duration,
-    heartbeat: Option<&Path>,
-) {
-    let mut baseline = crate::obs::scrape_report();
-    loop {
-        if stop.wait_timeout(interval) {
-            return;
+impl Poller {
+    /// One poll tick; returns the watched reports it answered.
+    fn tick(&self) -> Vec<(String, String)> {
+        let mut state = self.state.lock().expect("poller poisoned");
+        self.registry.poll();
+        sync_app_gauges(&self.registry);
+        let mut answered = Vec::new();
+        for dir in &mut state.watched {
+            match dir.tick(&self.registry, |app, targets| self.check(app, targets)) {
+                Ok(reports) => answered.extend(reports),
+                Err(e) => {
+                    let _ = writeln!(io::stderr(), "encore-serve: watch: {e}");
+                }
+            }
         }
-        registry.poll();
-        sync_app_gauges(registry);
-        if let Some(path) = heartbeat {
-            let current = crate::obs::scrape_report();
-            let delta = current.delta_since(&baseline, &|name| crate::obs::histogram_bounds(name));
-            baseline = current;
+        if let Some(path) = &self.heartbeat {
+            let current = crate::obs::scrape_report(&self.stats);
+            let delta = current.delta_since(&state.baseline, &crate::obs::histogram_bounds);
+            state.baseline = current;
             if let Ok(mut file) = std::fs::OpenOptions::new()
                 .create(true)
                 .append(true)
@@ -423,7 +501,51 @@ fn poll_loop(
                 let _ = writeln!(file, "{}", delta.render_json());
             }
         }
+        answered
     }
+
+    /// Check watched targets through the queue, counted like a socket
+    /// client's `check`.  Request id 0: no client request scope.
+    fn check(&self, app: &str, targets: Vec<(String, String)>) -> Response {
+        let count = targets.len() as u64;
+        let kind = JobKind::Check {
+            app: app.to_string(),
+            targets,
+        };
+        enqueue(&self.queue, kind, &self.stats, Some(count), 0).0
+    }
+}
+
+/// Call `tick` every `interval` until `stop` fires.
+///
+/// Each deadline is the previous deadline plus `interval`, so the period
+/// stays `interval` rather than `interval + tick time`; a tick that
+/// overruns skips the deadlines it missed instead of firing back to back.
+/// The wait is a [`StopFlag`] wait, so a stop interrupts it at once.
+fn run_ticks(stop: &StopFlag, interval: Duration, mut tick: impl FnMut()) {
+    let interval = interval.max(Duration::from_millis(1));
+    let mut deadline = Instant::now() + interval;
+    while !stop.wait_timeout(deadline.saturating_duration_since(Instant::now())) {
+        tick();
+        let now = Instant::now();
+        deadline += interval;
+        while deadline <= now {
+            deadline += interval;
+        }
+    }
+}
+
+/// Print watched reports on stdout, best-effort: a supervisor that
+/// stopped reading must not be able to crash the daemon with EPIPE.
+fn print_reports(reports: &[(String, String)]) {
+    if reports.is_empty() {
+        return;
+    }
+    let mut out = io::stdout().lock();
+    for (label, body) in reports {
+        let _ = write!(out, "== {label}\n{body}");
+    }
+    let _ = out.flush();
 }
 
 /// Accept connections until the stop flag is raised; each connection gets
@@ -603,13 +725,11 @@ fn serve_requests(
         };
         let id = NEXT_REQUEST_ID.fetch_add(1, Ordering::Relaxed);
         stats.requests.fetch_add(1, Ordering::Relaxed);
-        crate::obs::REQUESTS.incr();
         let request = match parsed {
             Err(reason) => {
                 // The stream cannot be resynchronized after a framing
                 // error: answer and close.
                 stats.errors.fetch_add(1, Ordering::Relaxed);
-                crate::obs::ERRORS.incr();
                 let response = Response::Error(reason);
                 let respond = respond_timed(&mut writer, &response)?;
                 encore_obs::event::with_request(id, || {
@@ -693,16 +813,8 @@ fn serve_requests(
             queue_wait: Duration::ZERO,
             check: inline_started.elapsed(),
         });
-        match &response {
-            Response::Busy => {
-                stats.rejected_busy.fetch_add(1, Ordering::Relaxed);
-                crate::obs::REJECTED_BUSY.incr();
-            }
-            Response::Error(_) => {
-                stats.errors.fetch_add(1, Ordering::Relaxed);
-                crate::obs::ERRORS.incr();
-            }
-            _ => {}
+        if matches!(response, Response::Error(_)) {
+            stats.errors.fetch_add(1, Ordering::Relaxed);
         }
         let respond = respond_timed(&mut writer, &response)?;
         encore_obs::event::with_request(id, || {
@@ -728,13 +840,15 @@ fn enqueue(
         enqueued: Instant::now(),
     };
     match queue.try_push(job) {
-        Err(_) => (Response::Busy, JobTimings::default()),
+        Err(_) => {
+            stats.rejected_busy.fetch_add(1, Ordering::Relaxed);
+            (Response::Busy, JobTimings::default())
+        }
         Ok(depth) => {
             crate::obs::QUEUE_DEPTH.set(depth as u64);
             if let Some(count) = check_targets {
                 stats.checks.fetch_add(1, Ordering::Relaxed);
                 stats.targets_checked.fetch_add(count, Ordering::Relaxed);
-                crate::obs::CHECKS.incr();
             }
             match receive.recv() {
                 Ok((response, timings)) => (response, timings),
@@ -746,5 +860,59 @@ fn enqueue(
                 ),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn run_ticks_align_to_the_interval_instead_of_drifting() {
+        let stop = StopFlag::new();
+        let mut ticks = 0;
+        let started = Instant::now();
+        run_ticks(&stop, Duration::from_millis(150), || {
+            std::thread::sleep(Duration::from_millis(100));
+            ticks += 1;
+            if ticks == 3 {
+                stop.stop();
+            }
+        });
+        let elapsed = started.elapsed();
+        assert_eq!(ticks, 3);
+        // Drift-free schedule: ticks start at 150, 300 and 450 ms, so the
+        // 100 ms of work is absorbed into each interval and the run ends
+        // at 550 ms.  A `wait(interval)`-after-work loop needs at least
+        // 3 * (150 + 100) = 750 ms; leave scheduling slack below that.
+        assert!(
+            elapsed >= Duration::from_millis(550),
+            "ran too fast: {elapsed:?}"
+        );
+        assert!(
+            elapsed < Duration::from_millis(700),
+            "interval drifted by tick time: {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn stop_interrupts_the_wait_between_ticks_immediately() {
+        let stop = Arc::new(StopFlag::new());
+        let stopper = Arc::clone(&stop);
+        let handle = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            stopper.stop();
+        });
+        let started = Instant::now();
+        let mut ticks = 0;
+        // An interval far beyond the test budget: only a woken wait passes.
+        run_ticks(&stop, Duration::from_secs(600), || ticks += 1);
+        handle.join().expect("stopper thread");
+        assert_eq!(ticks, 0, "stopped inside the first wait");
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "stop did not interrupt the wait: {:?}",
+            started.elapsed()
+        );
     }
 }

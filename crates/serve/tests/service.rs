@@ -370,3 +370,128 @@ fn unknown_apps_and_malformed_requests_get_errors() {
     server.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Watch-source options: ticks only through `poll_now`.
+fn watch_options(dir: &Path, watched: &Path) -> ServeOptions {
+    let mut options = ServeOptions::new(dir.join("serve.sock"));
+    options.poll_interval = Duration::from_secs(600);
+    options.watch = vec![("mysql".to_string(), watched.to_path_buf())];
+    options
+}
+
+#[test]
+fn watched_reports_match_check_fleet_and_all_recheck_after_a_reload() {
+    let dir = scratch_dir("watch-identity");
+    let watched = dir.join("targets");
+    std::fs::create_dir(&watched).expect("mkdir");
+    // The snapshot lives inside the watched directory: it is not a target.
+    let snap = train_snapshot(&watched, "mysql.snap", AppKind::Mysql, 11);
+    let targets = mysql_targets();
+    for (name, payload) in &targets {
+        std::fs::write(watched.join(name), payload).expect("write target");
+    }
+    let registry = SnapshotRegistry::new();
+    registry
+        .load("mysql", AppKind::Mysql, &snap)
+        .expect("load mysql");
+    let mut server = Server::start(registry, watch_options(&dir, &watched)).expect("starts");
+
+    // Bodies are exactly a direct check_fleet over `target_image`, under
+    // `NAME/file` labels in file-name order.
+    let labelled = |reports: Vec<(String, String)>| -> Vec<(String, String)> {
+        reports
+            .into_iter()
+            .map(|(name, body)| (format!("mysql/{name}"), body))
+            .collect()
+    };
+    let expected = labelled(direct_reports(
+        &load_detector(&snap),
+        AppKind::Mysql,
+        &targets,
+        None,
+    ));
+    assert_eq!(server.poll_now(), expected);
+    assert!(server.poll_now().is_empty(), "nothing changed");
+
+    // A retrained snapshot invalidates every verdict: both unchanged
+    // targets re-check, against the new rules.
+    train_snapshot(&watched, "mysql.snap", AppKind::Mysql, 12);
+    let expected = labelled(direct_reports(
+        &load_detector(&snap),
+        AppKind::Mysql,
+        &targets,
+        None,
+    ));
+    assert_eq!(server.poll_now(), expected);
+    assert!(server.poll_now().is_empty());
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_busy_queue_defers_a_watched_target_to_the_next_tick() {
+    let dir = scratch_dir("watch-busy");
+    let watched = dir.join("targets");
+    std::fs::create_dir(&watched).expect("mkdir");
+    std::fs::write(watched.join("a.cnf"), "[mysqld]\nport = 3306\n").expect("write target");
+    let snap = train_snapshot(&dir, "mysql.snap", AppKind::Mysql, 5);
+    let registry = SnapshotRegistry::new();
+    registry
+        .load("mysql", AppKind::Mysql, &snap)
+        .expect("load mysql");
+    let mut options = watch_options(&dir, &watched);
+    options.queue_capacity = 1;
+    let mut server = Server::start(registry, options).expect("starts");
+    let socket = server.socket().to_path_buf();
+
+    // One sleeper occupies the dispatcher, a second fills the capacity-1
+    // queue (the same choreography as the socket-client busy test).
+    let sleeper = |ms: u64| {
+        let socket = socket.clone();
+        std::thread::spawn(move || {
+            let mut client = Client::connect(&socket).expect("connect");
+            client.sleep(ms).expect("sleep verb")
+        })
+    };
+    let occupant = sleeper(700);
+    std::thread::sleep(Duration::from_millis(200));
+    let queued = sleeper(1);
+    std::thread::sleep(Duration::from_millis(100));
+
+    assert!(server.poll_now().is_empty(), "busy: nothing answered");
+    assert_eq!(
+        server
+            .stats()
+            .rejected_busy
+            .load(std::sync::atomic::Ordering::Relaxed),
+        1
+    );
+    occupant.join().expect("occupant");
+    queued.join().expect("queued sleeper");
+
+    // The unanswered target was not recorded: the next tick checks it.
+    let reports = server.poll_now();
+    assert_eq!(reports.len(), 1);
+    assert_eq!(reports[0].0, "mysql/a.cnf");
+    assert!(server.poll_now().is_empty());
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn watching_an_unregistered_app_or_a_missing_directory_fails_at_start() {
+    let dir = scratch_dir("watch-invalid");
+    let snap = train_snapshot(&dir, "mysql.snap", AppKind::Mysql, 3);
+    for (app, watched) in [("postgres", dir.clone()), ("mysql", dir.join("missing"))] {
+        let registry = SnapshotRegistry::new();
+        registry
+            .load("mysql", AppKind::Mysql, &snap)
+            .expect("load mysql");
+        let mut options = watch_options(&dir, &watched);
+        options.watch[0].0 = app.to_string();
+        let err = Server::start(registry, options).err().expect("rejected");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        assert!(!dir.join("serve.sock").exists(), "no socket left behind");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,17 +1,19 @@
-//! Report deltas and the watch loop, end to end: a report diffed against
-//! itself is empty, a perturbed counter trips the default policy with a
-//! violation naming the metric and its gate, counter/histogram sections
-//! never differ across worker counts, and [`Watcher`] cycles re-check only
-//! added/changed targets while appending one parseable report per cycle to
-//! the JSONL trace.
+//! Report deltas and the watched-directory target source, end to end: a
+//! report diffed against itself is empty, a perturbed counter trips the
+//! default policy with a violation naming the metric and its gate,
+//! counter/histogram sections never differ across worker counts, and
+//! `encore-serve` poll ticks re-check only added/changed watched targets
+//! while appending one parseable heartbeat report per tick.
 
 use encore::obs;
 use encore::obs::{DeltaPolicy, PipelineReport, ReportDelta};
 use encore::prelude::*;
 use encore_corpus::genimage::{Population, PopulationOptions};
 use encore_model::AppKind;
-use std::path::PathBuf;
+use encore_serve::{ServeOptions, Server, SnapshotRegistry};
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
+use std::time::Duration;
 
 /// The observability sink and its metric statics are process-global;
 /// every test in this binary toggles or reads them, so they serialize on
@@ -121,91 +123,105 @@ fn worker_count_never_changes_counters_or_histograms() {
     }
 }
 
-/// Build a small trained detector for the watch tests.
-fn small_detector() -> AnomalyDetector {
+/// Serve a detector trained on a small MySQL fleet from
+/// `dir/mysql.snap` and watch `dir` itself (the snapshot is not a
+/// target).  Ticks happen only through [`Server::poll_now`]; each appends
+/// one heartbeat line to `dir/.heartbeat.jsonl`.
+fn watch_server(dir: &Path) -> Server {
     let pop = Population::training(AppKind::Mysql, &PopulationOptions::new(12, 7));
     let training = TrainingSet::assemble(AppKind::Mysql, pop.images()).expect("training assembles");
-    EnCore::learn(&training, &LearnOptions::default()).into_detector()
+    let detector = EnCore::learn(&training, &LearnOptions::default()).into_detector();
+    let snapshot = dir.join("mysql.snap");
+    std::fs::write(&snapshot, detector.snapshot().render()).expect("write snapshot");
+    let registry = SnapshotRegistry::new();
+    registry
+        .load("mysql", AppKind::Mysql, &snapshot)
+        .expect("snapshot loads");
+    let mut options = ServeOptions::new(dir.join(".serve.sock"));
+    options.poll_interval = Duration::from_secs(600);
+    options.heartbeat_path = Some(dir.join(".heartbeat.jsonl"));
+    options.watch = vec![("mysql".to_string(), dir.to_path_buf())];
+    Server::start(registry, options).expect("server starts")
+}
+
+fn labels(reports: &[(String, String)]) -> Vec<&str> {
+    reports.iter().map(|(label, _)| label.as_str()).collect()
+}
+
+/// The heartbeat lines written so far, parsed.
+fn heartbeat(dir: &Path) -> Vec<PipelineReport> {
+    let text = std::fs::read_to_string(dir.join(".heartbeat.jsonl")).expect("heartbeat written");
+    text.lines()
+        .enumerate()
+        .map(|(i, line)| {
+            obs::json::parse(line).unwrap_or_else(|e| panic!("line {}: {e:?}", i + 1));
+            PipelineReport::parse_json(line).unwrap_or_else(|e| panic!("line {}: {e}", i + 1))
+        })
+        .collect()
 }
 
 #[test]
 fn watch_cycles_recheck_only_changed_targets_and_emit_jsonl() {
     let _gate = gate();
-    let detector = small_detector();
     let dir = scratch_dir("watch-jsonl");
-    let report_path = dir.join(".trace.jsonl"); // dotfile: not a target
     std::fs::write(dir.join("a.cnf"), "[mysqld]\nport = 3306\n").unwrap();
     std::fs::write(
         dir.join("b.cnf"),
         "[mysqld]\nport = 3307\nskip-networking\n",
     )
     .unwrap();
+    // Neither dotfiles nor subdirectories are targets.
+    std::fs::write(dir.join(".hidden.cnf"), "[mysqld]\nport = 1\n").unwrap();
+    std::fs::create_dir(dir.join("conf.d")).unwrap();
+    std::fs::write(dir.join("conf.d/c.cnf"), "[mysqld]\nport = 2\n").unwrap();
 
+    obs::reset();
     obs::enable();
-    let mut options = WatchOptions::new(AppKind::Mysql, &dir);
-    options.report_path = Some(report_path.clone());
-    let mut watcher = Watcher::new(detector, options);
-
-    let first = watcher.cycle().expect("cycle 1");
-    assert_eq!((first.added, first.changed, first.removed), (2, 0, 0));
-    assert_eq!(first.results.len(), 2, "both new targets re-checked");
-    assert_eq!(first.tracked, 2);
-    let counters = first.report.counters();
-    assert_eq!(counters["detect.watch.cycles"], 1);
-    assert_eq!(counters["detect.watch.targets_added"], 2);
-    assert_eq!(counters["detect.watch.targets_rechecked"], 2);
-
-    // Grow the file so the size component of the signature changes even
-    // on filesystems with coarse mtime granularity.
-    std::thread::sleep(std::time::Duration::from_millis(20));
+    let mut server = watch_server(&dir);
+    assert_eq!(
+        labels(&server.poll_now()),
+        ["mysql/a.cnf", "mysql/b.cnf"],
+        "both new targets checked; snapshot, dotfile, subdirectory are not"
+    );
     std::fs::write(
         dir.join("b.cnf"),
         "[mysqld]\nport = 3307\nskip-networking\nmax_connections = 100\n",
     )
     .unwrap();
-    let second = watcher.cycle().expect("cycle 2");
-    assert_eq!((second.added, second.changed, second.removed), (0, 1, 0));
-    assert_eq!(second.results.len(), 1, "only the changed target re-checks");
-    assert_eq!(second.results[0].0, "b.cnf");
-
-    let third = watcher.cycle().expect("cycle 3");
-    assert_eq!((third.added, third.changed, third.removed), (0, 0, 0));
-    assert!(third.results.is_empty(), "quiet cycle re-checks nothing");
-    assert_eq!(third.tracked, 2);
+    assert_eq!(
+        labels(&server.poll_now()),
+        ["mysql/b.cnf"],
+        "only the changed target re-checks"
+    );
+    assert!(server.poll_now().is_empty(), "quiet tick re-checks nothing");
+    server.stop();
     obs::disable();
 
-    let trace = std::fs::read_to_string(&report_path).expect("trace written");
-    let lines: Vec<&str> = trace.lines().collect();
-    assert_eq!(lines.len(), 3, "one JSONL line per cycle");
-    for (i, line) in lines.iter().enumerate() {
-        obs::json::parse(line).unwrap_or_else(|e| panic!("line {}: {e:?}", i + 1));
-        let parsed =
-            PipelineReport::parse_json(line).unwrap_or_else(|e| panic!("line {}: {e}", i + 1));
-        assert_eq!(parsed.counters()["detect.watch.cycles"], 1);
-    }
-    let first_line = PipelineReport::parse_json(lines[0]).unwrap();
-    assert_eq!(first_line.counters()["detect.watch.targets_added"], 2);
+    let ticks = heartbeat(&dir);
+    assert_eq!(ticks.len(), 3, "one JSONL line per tick");
+    let column = |name: &str| -> Vec<u64> { ticks.iter().map(|r| r.counters()[name]).collect() };
+    assert_eq!(column("serve.checks"), [1, 1, 0], "one batch per busy tick");
+    assert_eq!(column("serve.targets_checked"), [2, 1, 0]);
+    assert_eq!(column("detect.fleet.systems"), [2, 1, 0]);
+    assert_eq!(column("serve.requests"), [0, 0, 0], "no socket traffic");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn watch_detects_same_size_rewrite_with_preserved_mtime() {
     let _gate = gate();
-    let detector = small_detector();
     let dir = scratch_dir("watch-same-size");
     let target = dir.join("a.cnf");
     std::fs::write(&target, "[mysqld]\nport = 3306\n").unwrap();
 
-    obs::enable();
-    let mut watcher = Watcher::new(detector, WatchOptions::new(AppKind::Mysql, &dir));
-    let first = watcher.cycle().expect("cycle 1");
-    assert_eq!((first.added, first.changed), (1, 0));
+    let mut server = watch_server(&dir);
+    assert_eq!(labels(&server.poll_now()), ["mysql/a.cnf"]);
     let mtime = std::fs::metadata(&target).unwrap().modified().unwrap();
 
     // Same byte length, different contents, original mtime restored: the
     // metadata signature is identical, so only the content fingerprint can
-    // flag the rewrite.  Regression for the watcher missing in-place
-    // same-size edits within the filesystem's mtime granularity.
+    // flag the rewrite.  Regression for missing in-place same-size edits
+    // within the filesystem's mtime granularity.
     std::fs::write(&target, "[mysqld]\nport = 3307\n").unwrap();
     std::fs::File::options()
         .write(true)
@@ -213,39 +229,39 @@ fn watch_detects_same_size_rewrite_with_preserved_mtime() {
         .unwrap()
         .set_modified(mtime)
         .unwrap();
-    let second = watcher.cycle().expect("cycle 2");
-    assert_eq!((second.added, second.changed, second.removed), (0, 1, 0));
-    assert_eq!(second.results.len(), 1, "the rewritten target re-checks");
-    assert_eq!(second.results[0].0, "a.cnf");
-
-    let third = watcher.cycle().expect("cycle 3");
-    assert_eq!((third.added, third.changed, third.removed), (0, 0, 0));
-    assert!(third.results.is_empty());
-    obs::disable();
+    assert_eq!(
+        labels(&server.poll_now()),
+        ["mysql/a.cnf"],
+        "the rewritten target re-checks"
+    );
+    assert!(server.poll_now().is_empty());
+    server.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn identical_quiet_cycles_produce_identical_counter_sections() {
     let _gate = gate();
-    let detector = small_detector();
     let dir = scratch_dir("watch-quiet");
     std::fs::write(dir.join("only.cnf"), "[mysqld]\nport = 3306\n").unwrap();
 
+    obs::reset();
     obs::enable();
-    let mut watcher = Watcher::new(detector, WatchOptions::new(AppKind::Mysql, &dir));
-    let _warmup = watcher.cycle().expect("cycle 1");
-    let quiet_a = watcher.cycle().expect("cycle 2");
-    let quiet_b = watcher.cycle().expect("cycle 3");
+    let mut server = watch_server(&dir);
+    for _ in 0..3 {
+        server.poll_now();
+    }
+    server.stop();
     obs::disable();
 
-    // Regression: each cycle's report must cover only that cycle.  Were
-    // the snapshot not paired atomically with a reset, counters would
-    // accumulate and the second quiet cycle would read higher than the
-    // first.
-    assert_eq!(quiet_a.report.counters(), quiet_b.report.counters());
-    assert_eq!(quiet_a.report.counters()["detect.watch.cycles"], 1);
-    let delta = ReportDelta::diff(&quiet_a.report, &quiet_b.report);
+    // Each tick's heartbeat must cover only that tick: were the lines
+    // cumulative, the second quiet tick would read higher than the first.
+    let ticks = heartbeat(&dir);
+    let (quiet_a, quiet_b) = (&ticks[1], &ticks[2]);
+    assert_eq!(quiet_a.counters(), quiet_b.counters());
+    assert_eq!(ticks[0].counters()["serve.targets_checked"], 1);
+    assert_eq!(quiet_a.counters()["serve.targets_checked"], 0);
+    let delta = ReportDelta::diff(quiet_a, quiet_b);
     assert!(delta.counters.is_empty(), "{}", delta.render_text());
     assert!(delta.histograms.is_empty(), "{}", delta.render_text());
     let _ = std::fs::remove_dir_all(&dir);
